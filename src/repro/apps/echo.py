@@ -14,6 +14,7 @@ from repro.net.addresses import IPAddress
 from repro.tcp.sockets import Socket
 from repro.host.app import Application
 from repro.host.host import Host
+from repro.sim.timers import PeriodicTimer
 
 __all__ = ["EchoServer", "EchoClient"]
 
@@ -86,6 +87,7 @@ class EchoClient(Application):
         self._echoed_bytes = 0
         self._send_times: list[int] = []
         self._outbox = bytearray()   # queued but not yet accepted by TCP
+        self._pacer: Optional[PeriodicTimer] = None
 
     def on_start(self) -> None:
         """Open the listener / client connection."""
@@ -97,16 +99,19 @@ class EchoClient(Application):
         self.sock.on_writable = self.guard_callback(self._pump)
 
     def _begin(self, _sock: Socket) -> None:
-        self.every(self.interval_ns, self._send_one, fire_immediately=True)
+        self._pacer = self.every(self.interval_ns, self._send_one,
+                                 fire_immediately=True)
 
     def _send_one(self) -> None:
-        if self._sent >= self.count or self.sock is None:
-            return
-        if not self.sock.is_open:
+        if self._sent >= self.count or not self.sock.is_open:
+            # Nothing left to send, ever: stop ticking.
+            self._pacer.stop()
             return
         self._send_times.append(self.world.sim.now)
         self._outbox.extend(bytes(self.message_size))
         self._sent += 1
+        if self._sent >= self.count:
+            self._pacer.stop()
         self._pump(self.sock)
 
     def _pump(self, sock: Socket) -> None:

@@ -24,6 +24,7 @@ from repro.net.addresses import IPAddress
 from repro.tcp.sockets import Socket
 from repro.host.app import Application
 from repro.host.host import Host
+from repro.sim.timers import Timer
 
 __all__ = ["KvServer", "KvClient"]
 
@@ -92,7 +93,16 @@ class KvServer(Application):
 
 class KvClient(Application):
     """Issues a scripted command sequence, one at a time, collecting the
-    replies.  ``on_complete`` fires when every reply has arrived."""
+    replies.  ``on_complete`` fires when every reply has arrived.
+
+    Sends are paced on a fixed grid: the first command goes out at the
+    connect instant ``t0``, and each later one at the first grid instant
+    ``t0 + k * interval_ns`` strictly after the previous reply arrived
+    (so a reply landing exactly on a grid instant waits one interval).
+    A single timer is armed only while a command is due — never while a
+    command is outstanding, nor after the script ends or the socket
+    closes — so an idle client schedules no events.
+    """
 
     def __init__(self, host: Host, name: str, server_ip: "IPAddress | str",
                  port: int = 6379, commands: Optional[list[bytes]] = None,
@@ -109,6 +119,8 @@ class KvClient(Application):
         self.reset_count = 0
         self._next_command = 0
         self._inbox = bytearray()
+        self._t0 = 0
+        self._pacer: Optional[Timer] = None
 
     def on_start(self) -> None:
         """Open the listener / client connection."""
@@ -120,14 +132,12 @@ class KvClient(Application):
             lambda s, r: setattr(self, "reset_count", self.reset_count + 1))
 
     def _begin(self, _sock: Socket) -> None:
-        self.every(self.interval_ns, self._send_next, fire_immediately=True)
+        self._t0 = self.world.sim.now
+        self._pacer = self.after(0, self._send_next)
 
     def _send_next(self) -> None:
         if (self._next_command >= len(self.commands)
                 or self.sock is None or not self.sock.is_open):
-            return
-        # One outstanding command at a time keeps replies unambiguous.
-        if self._next_command > len(self.replies):
             return
         command = self.commands[self._next_command]
         self.sock.send(command.rstrip(b"\n") + b"\n")
@@ -139,10 +149,16 @@ class KvClient(Application):
             line, _, rest = bytes(self._inbox).partition(b"\n")
             self._inbox[:] = rest
             self.replies.append(line)
-        if (len(self.replies) >= len(self.commands)
-                and self.on_complete is not None):
-            callback, self.on_complete = self.on_complete, None
-            callback()
+        if len(self.replies) >= len(self.commands):
+            if self.on_complete is not None:
+                callback, self.on_complete = self.on_complete, None
+                callback()
+        elif len(self.replies) >= self._next_command and sock.is_open:
+            # Caught up, with commands left: one command at a time keeps
+            # replies unambiguous.  Send on the next grid instant.
+            elapsed = self.world.sim.now - self._t0
+            self._pacer.start(
+                self.interval_ns - elapsed % self.interval_ns)
 
     @property
     def done(self) -> bool:

@@ -69,7 +69,14 @@ class Cable:
         self.propagation_delay_ns = propagation_delay_ns
         self._loss_rate = loss_rate
         self.name = name or f"cable:{a.name}<->{b.name}"
-        self._rng = world.rng.stream(f"cable.{self.name}")
+        # The loss stream is fetched when loss is first enabled (here or
+        # in the ``loss_rate`` setter): streams are keyed by name, so a
+        # late fetch draws exactly what an eager one would, and a fleet of
+        # lossless cables seeds no generators.  ``_rng`` is set whenever
+        # ``_loss_rate > 0`` — the only time the hot paths read it.
+        self._rng = None
+        if loss_rate > 0.0:
+            self._rng = world.rng.stream(f"cable.{self.name}")
         self._cut = False
         # Per-direction time at which the transmitter becomes free again.
         self._tx_free_at = [0, 0]
@@ -112,6 +119,8 @@ class Cable:
 
     @loss_rate.setter
     def loss_rate(self, rate: float) -> None:
+        if rate > 0.0 and self._rng is None:
+            self._rng = self._world.rng.stream(f"cable.{self.name}")
         self._loss_rate = rate
         self._world.net_epoch += 1
 

@@ -58,7 +58,10 @@ class TcpStack:
         self._conn_by_value: dict[tuple, TcpConnection] = {}
         self._listeners: list[Listener] = []
         self._next_ephemeral = self.EPHEMERAL_BASE
-        self._isn_rng = world.rng.stream(f"tcp.isn.{name}")
+        # Fetched on the first generate_isn(), so building a testbed
+        # seeds no ISN streams; a named stream draws the same sequence
+        # however late it is created.
+        self._isn_rng = None
         self._frozen = False
         ip_stack.register_protocol(IPProtocol.TCP, self._on_packet)
 
@@ -149,7 +152,11 @@ class TcpStack:
 
     def generate_isn(self) -> int:
         """Draw a random 32-bit initial sequence number."""
-        return self._isn_rng.randrange(1 << 32)
+        rng = self._isn_rng
+        if rng is None:
+            rng = self._isn_rng = self._world.rng.stream(
+                f"tcp.isn.{self.name}")
+        return rng.randrange(1 << 32)
 
     def freeze(self) -> None:
         """Host crash: stop every connection's timers, drop all processing."""

@@ -51,3 +51,24 @@ def test_rtt_grows_with_bottleneck(world):
     lan.world.run(until=seconds(10))
     # 2 x 4096B at 1Mbps is ~65ms serialization alone.
     assert client.mean_rtt_ns > millis(50)
+
+
+def test_finished_client_leaves_no_pending_event(lan):
+    EchoServer(lan.hosts[0], "server", port=7).start()
+    client = EchoClient(lan.hosts[1], "client", lan.ip(0), port=7,
+                        interval_ns=millis(10), count=5)
+    client.start()
+    lan.world.run(until=seconds(300))
+    assert len(client.rtts_ns) == 5
+    # Pacing stopped at the last send; TIME_WAIT has long expired.
+    assert lan.world.sim.pending_events == 0
+
+
+def test_send_instants_are_unchanged_by_stopping_the_pacer(lan):
+    EchoServer(lan.hosts[0], "server", port=7).start()
+    client = EchoClient(lan.hosts[1], "client", lan.ip(0), port=7,
+                        interval_ns=millis(10), count=4)
+    client.start()
+    lan.world.run(until=seconds(1))
+    t0 = client._send_times[0]
+    assert client._send_times == [t0 + k * millis(10) for k in range(4)]

@@ -48,6 +48,22 @@ def _workload(tmp_path):
     return result.obs.write(tmp_path)
 
 
+def _workload_kv(tmp_path):
+    # Kv scripts that straddle a primary crash on an egress-filtered
+    # fleet: pins the client's command pacing across the failover stall.
+    from repro.scenarios.options import RunOptions
+    from repro.workloads import WorkloadSpec, run_workload_failover
+
+    spec = WorkloadSpec(kind="kv", connections=4, kv_ops=8, start_s=0.48,
+                        mean_interarrival_s=0.01)
+    result = run_workload_failover(
+        spec, num_clients=4, fault_at_s=0.5,
+        options=RunOptions(seed=11, run_until_s=3, obs_level="frames"),
+        egress_filtering=True)
+    assert result.all_intact
+    return result.obs.write(tmp_path)
+
+
 def _baseline(tmp_path):
     from repro.scenarios.options import RunOptions
     from repro.scenarios.runner import run_baseline_failover
@@ -63,6 +79,7 @@ def _baseline(tmp_path):
 SCENARIOS = {
     "failover-hwcrash-seed7": _failover,
     "workload-6conn-seed3": _workload,
+    "workload-kv-seed11": _workload_kv,
     "baseline-hotstandby-seed5": _baseline,
 }
 
