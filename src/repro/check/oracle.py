@@ -22,11 +22,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.check.invariants import INVARIANTS
+from repro.net.addresses import MacAddress
 from repro.net.packet import IPPacket
 from repro.obs.bus import ProbeEvent
 from repro.sim.core import millis
-from repro.tcp.segment import TcpSegment
-from repro.tcp.seq import seq_add, seq_sub
+from repro.tcp.segment import TcpFlags, TcpSegment
+from repro.tcp.seq import SEQ_MASK, SEQ_MOD
 
 __all__ = ["CheckTopology", "Violation", "InvariantViolationError",
            "InvariantOracle", "CheckedRun"]
@@ -39,6 +40,10 @@ _SEQ_BAND = 1 << 24
 # In-flight allowance for wire.primary-silent: frames the primary queued
 # on its cable before STONITH may still drain into the switch briefly.
 _TAKEOVER_GRACE_NS = millis(200)
+
+_HALF = SEQ_MOD >> 1
+_SYN, _ACK, _FIN, _RST = (TcpFlags.SYN, TcpFlags.ACK, TcpFlags.FIN,
+                          TcpFlags.RST)
 
 
 @dataclass(frozen=True)
@@ -86,22 +91,31 @@ class InvariantViolationError(AssertionError):
             + (f"\n  ... and {more} more" if more > 0 else ""))
 
 
-@dataclass
 class _EndpointState:
     """Per-connection sender/receiver tracking (keyed by probe source)."""
 
-    una: int = 0
-    rcv_nxt: int = 0
-    deliver_next: int = 0
+    __slots__ = ("una", "rcv_nxt", "deliver_next")
+
+    def __init__(self, una: int = 0, rcv_nxt: int = 0):
+        self.una = una
+        self.rcv_nxt = rcv_nxt
+        self.deliver_next = 0
 
 
-@dataclass
 class _FlowDirState:
     """Per (src_ip, sport, dst_ip, dport) wire-direction tracking."""
 
-    hi_seq: Optional[int] = None   # running max sequence number (mod 2^32)
-    hi_ack: Optional[int] = None   # running max ack number (mod 2^32)
-    max_end: Optional[int] = None  # highest seq end incl. SYN/FIN phantoms
+    __slots__ = ("hi_seq", "hi_ack", "max_end")
+
+    def __init__(self):
+        self.hi_seq: Optional[int] = None   # running max seq (mod 2^32)
+        self.hi_ack: Optional[int] = None   # running max ack (mod 2^32)
+        self.max_end: Optional[int] = None  # highest seq end incl. SYN/FIN
+
+
+def _flow_label(packet: IPPacket, seg: TcpSegment) -> str:
+    """``src:port->dst:port``: a wire flow's name in violation reports."""
+    return f"{packet.src}:{seg.src_port}->{packet.dst}:{seg.dst_port}"
 
 
 class InvariantOracle:
@@ -111,6 +125,11 @@ class InvariantOracle:
     raises at exit, the pytest fixture asserts at teardown).  ``checks``
     counts evaluations per invariant so "ran clean" is distinguishable
     from "never looked".
+
+    The handlers run once per probe fire, so they do only the comparisons
+    themselves: flows are keyed by the addresses' integer values, the
+    sequence arithmetic is inlined, and a violation's connection label and
+    detail text are formatted only when a check fails.
     """
 
     def __init__(self, world, topology: Optional[CheckTopology] = None,
@@ -124,10 +143,19 @@ class InvariantOracle:
         self._endpoints: dict[str, _EndpointState] = {}
         self._flows: dict[tuple, _FlowDirState] = {}
         self._hb_seq: dict[str, int] = {}
-        self._hb_progress: dict[tuple, tuple] = {}
+        # connection key -> heartbeat source -> last progress counters
+        self._hb_progress: dict[tuple, dict[str, tuple]] = {}
         self._takeover_at: Optional[int] = None
         self._takeover_sources: set[str] = set()
         self._nonft_sources: set[str] = set()
+        # Topology hints resolved once, so the per-frame check compares ints.
+        self._service_port: Optional[int] = None
+        self._primary_mac: Optional[int] = None
+        self._backup_mac: Optional[int] = None
+        if topology is not None:
+            self._service_port = topology.service_port
+            self._primary_mac = MacAddress(topology.primary_mac)._value
+            self._backup_mac = MacAddress(topology.backup_mac)._value
         self._subs: list = []
         self._attached = False
 
@@ -164,12 +192,6 @@ class InvariantOracle:
                 invariant, event.time if event else self.world.now,
                 conn, detail, event))
 
-    def _check(self, invariant: str, ok: bool, event: ProbeEvent, conn: str,
-               detail: str) -> None:
-        self.checks[invariant] += 1
-        if not ok:
-            self._fail(invariant, event, conn, detail)
-
     def report(self) -> str:
         """Human-readable summary: per-invariant check/violation counts."""
         lines = [f"invariant oracle: {self.violation_count} violation(s)"]
@@ -187,50 +209,70 @@ class InvariantOracle:
         if una is None or nxt is None:
             return
         flags = f.get("flags", "")
-        state = self._endpoints.get(ev.source)
+        source = ev.source
+        checks = self.checks
+        state = self._endpoints.get(source)
         if state is None or "SYN" in flags:
             # First sighting, or a new incarnation reusing the name.
-            state = self._endpoints[ev.source] = _EndpointState(
-                una=una, rcv_nxt=f.get("rcv_nxt", 0))
-        self._check("tcp.snd-una-le-nxt", una <= nxt, ev, ev.source,
-                    f"snd_una={una} > snd_nxt={nxt}")
-        self._check("tcp.snd-una-monotone", una >= state.una, ev, ev.source,
-                    f"snd_una retreated {state.una} -> {una}")
-        state.una = max(state.una, una)
+            state = self._endpoints[source] = _EndpointState(
+                una, f.get("rcv_nxt", 0))
+        checks["tcp.snd-una-le-nxt"] += 1
+        if una > nxt:
+            self._fail("tcp.snd-una-le-nxt", ev, source,
+                       f"snd_una={una} > snd_nxt={nxt}")
+        checks["tcp.snd-una-monotone"] += 1
+        if una < state.una:
+            self._fail("tcp.snd-una-monotone", ev, source,
+                       f"snd_una retreated {state.una} -> {una}")
+        else:
+            state.una = una
         mss = f.get("mss")
         if mss:
             cwnd, ssthresh = f.get("cwnd"), f.get("ssthresh")
-            self._check("tcp.cwnd-floor", cwnd >= mss, ev, ev.source,
-                        f"cwnd={cwnd} < 1 MSS ({mss})")
-            self._check("tcp.ssthresh-floor", ssthresh >= 2 * mss, ev,
-                        ev.source, f"ssthresh={ssthresh} < 2 MSS ({2 * mss})")
+            checks["tcp.cwnd-floor"] += 1
+            if cwnd < mss:
+                self._fail("tcp.cwnd-floor", ev, source,
+                           f"cwnd={cwnd} < 1 MSS ({mss})")
+            checks["tcp.ssthresh-floor"] += 1
+            if ssthresh < 2 * mss:
+                self._fail("tcp.ssthresh-floor", ev, source,
+                           f"ssthresh={ssthresh} < 2 MSS ({2 * mss})")
         off = f.get("off")
         if off is not None and "SYN" not in flags and "RST" not in flags:
             # (RSTs are exempt: a reset for a bogus handshake ack echoes
             # the offender's ack field as its seq, per RFC 793.)
-            self._check("tcp.seq-in-window", una <= off <= nxt, ev,
-                        ev.source,
-                        f"segment offset {off} outside [una={una}, "
-                        f"nxt={nxt}]")
+            checks["tcp.seq-in-window"] += 1
+            if not una <= off <= nxt:
+                self._fail("tcp.seq-in-window", ev, source,
+                           f"segment offset {off} outside [una={una}, "
+                           f"nxt={nxt}]")
         rcv_nxt = f.get("rcv_nxt")
         if rcv_nxt is not None:
-            self._check("tcp.rcv-nxt-monotone", rcv_nxt >= state.rcv_nxt,
-                        ev, ev.source,
-                        f"rcv_next retreated {state.rcv_nxt} -> {rcv_nxt}")
-            state.rcv_nxt = max(state.rcv_nxt, rcv_nxt)
+            checks["tcp.rcv-nxt-monotone"] += 1
+            if rcv_nxt < state.rcv_nxt:
+                self._fail("tcp.rcv-nxt-monotone", ev, source,
+                           f"rcv_next retreated {state.rcv_nxt} -> "
+                           f"{rcv_nxt}")
+            else:
+                state.rcv_nxt = rcv_nxt
 
     def _on_deliver(self, ev: ProbeEvent) -> None:
-        off, length = ev.fields.get("off"), ev.fields.get("len", 0)
+        f = ev.fields
+        off = f.get("off")
         if off is None:
             return
-        state = self._endpoints.setdefault(ev.source, _EndpointState())
-        if off == 0 and state.deliver_next > 0:
+        source = ev.source
+        state = self._endpoints.get(source)
+        if state is None:
+            state = self._endpoints[source] = _EndpointState()
+        elif off == 0 and state.deliver_next > 0:
             state.deliver_next = 0   # new incarnation reusing the name
-        self._check("tcp.deliver-contiguous", off == state.deliver_next,
-                    ev, ev.source,
-                    f"delivery at offset {off}, expected "
-                    f"{state.deliver_next} (gap or re-delivery)")
-        state.deliver_next = off + length
+        self.checks["tcp.deliver-contiguous"] += 1
+        if off != state.deliver_next:
+            self._fail("tcp.deliver-contiguous", ev, source,
+                       f"delivery at offset {off}, expected "
+                       f"{state.deliver_next} (gap or re-delivery)")
+        state.deliver_next = off + f.get("len", 0)
 
     # --------------------------------------------------------- wire layer
 
@@ -242,64 +284,84 @@ class InvariantOracle:
         seg = packet.payload
         if not isinstance(seg, TcpSegment):
             return
-        fkey = (str(packet.src), seg.src_port, str(packet.dst), seg.dst_port)
-        flow = self._flows.get(fkey)
-        if flow is None or seg.syn:
+        src, dst = packet.src._value, packet.dst._value
+        sport, dport = seg.src_port, seg.dst_port
+        flags = seg.flags
+        flows = self._flows
+        fkey = (src, sport, dst, dport)
+        flow = flows.get(fkey)
+        if flow is None or flags & _SYN:
             # New flow direction, or a new incarnation (a SYN legitimately
             # restarts the sequence space; ST-TCP takeover never SYNs).
-            flow = self._flows[fkey] = _FlowDirState()
-        conn = f"{fkey[0]}:{fkey[1]}->{fkey[2]}:{fkey[3]}"
-        self._check_topology(ev, frame, seg, conn)
-        end = seq_add(seg.seq, len(seg.payload)
-                      + (1 if seg.syn else 0) + (1 if seg.fin else 0))
-        if not seg.rst:
-            if flow.hi_seq is not None:
-                jump = seq_sub(seg.seq, flow.hi_seq)
-                self._check("wire.seq-continuity", abs(jump) < _SEQ_BAND,
-                            ev, conn,
-                            f"seq {seg.seq} is {jump:+d} from the running "
-                            f"max {flow.hi_seq} (discontinuous space)")
-            if flow.hi_seq is None or seq_sub(seg.seq, flow.hi_seq) > 0:
-                flow.hi_seq = seg.seq
-        if flow.max_end is None or seq_sub(end, flow.max_end) > 0:
+            flow = flows[fkey] = _FlowDirState()
+        checks = self.checks
+        service_port = self._service_port
+        if service_port is not None and (sport == service_port
+                                         or dport == service_port):
+            src_mac = frame.src._value
+            takeover_at = self._takeover_at
+            if src_mac == self._backup_mac:
+                checks["wire.backup-silent"] += 1
+                if takeover_at is None or ev.time < takeover_at:
+                    self._fail("wire.backup-silent", ev,
+                               _flow_label(packet, seg),
+                               "backup emitted a service-flow frame before "
+                               "takeover (output suppression breached)")
+            elif src_mac == self._primary_mac and takeover_at is not None:
+                checks["wire.primary-silent"] += 1
+                if ev.time > takeover_at + _TAKEOVER_GRACE_NS:
+                    self._fail("wire.primary-silent", ev,
+                               _flow_label(packet, seg),
+                               f"primary emitted a service-flow frame "
+                               f"{(ev.time - takeover_at) / 1e6:.1f} ms "
+                               f"after takeover (dual active)")
+        seq = seg.seq
+        if not flags & _RST:
+            hi_seq = flow.hi_seq
+            if hi_seq is None:
+                flow.hi_seq = seq
+            else:
+                jump = (seq - hi_seq) & SEQ_MASK   # seq_sub(seq, hi_seq)
+                if jump >= _HALF:
+                    jump -= SEQ_MOD
+                checks["wire.seq-continuity"] += 1
+                if not -_SEQ_BAND < jump < _SEQ_BAND:
+                    self._fail("wire.seq-continuity", ev,
+                               _flow_label(packet, seg),
+                               f"seq {seq} is {jump:+d} from the running "
+                               f"max {hi_seq} (discontinuous space)")
+                if jump > 0:
+                    flow.hi_seq = seq
+        end = (seq + len(seg.payload) + (1 if flags & _SYN else 0)
+               + (1 if flags & _FIN else 0)) & SEQ_MASK
+        max_end = flow.max_end
+        if max_end is None or 0 < (end - max_end) & SEQ_MASK < _HALF:
             flow.max_end = end
-        if seg.ack_flag and not seg.rst:
-            if flow.hi_ack is not None:
-                retreat = seq_sub(seg.ack, flow.hi_ack)
-                self._check("wire.ack-monotone", retreat >= 0, ev, conn,
-                            f"ack retreated {flow.hi_ack} -> {seg.ack} "
-                            f"({retreat:+d})")
-            if flow.hi_ack is None or seq_sub(seg.ack, flow.hi_ack) > 0:
-                flow.hi_ack = seg.ack
-            reverse = self._flows.get((fkey[2], fkey[3], fkey[0], fkey[1]))
+        if flags & _ACK and not flags & _RST:
+            ack = seg.ack
+            hi_ack = flow.hi_ack
+            if hi_ack is None:
+                flow.hi_ack = ack
+            else:
+                advance = (ack - hi_ack) & SEQ_MASK
+                checks["wire.ack-monotone"] += 1
+                if advance >= _HALF:
+                    self._fail("wire.ack-monotone", ev,
+                               _flow_label(packet, seg),
+                               f"ack retreated {hi_ack} -> {ack} "
+                               f"({advance - SEQ_MOD:+d})")
+                elif advance:
+                    flow.hi_ack = ack
+            reverse = flows.get((dst, dport, src, sport))
             if reverse is not None and reverse.max_end is not None:
-                beyond = seq_sub(seg.ack, reverse.max_end)
-                self._check("wire.ack-beyond-data", beyond <= 0, ev, conn,
-                            f"ack {seg.ack} is {beyond:+d} beyond the "
-                            f"peer's highest sent byte {reverse.max_end}")
-
-    def _check_topology(self, ev: ProbeEvent, frame, seg: TcpSegment,
-                        conn: str) -> None:
-        topo = self.topology
-        if topo is None:
-            return
-        if topo.service_port not in (seg.src_port, seg.dst_port):
-            return
-        src_mac = str(frame.src)
-        if src_mac == topo.backup_mac:
-            self._check("wire.backup-silent",
-                        self._takeover_at is not None
-                        and ev.time >= self._takeover_at,
-                        ev, conn,
-                        "backup emitted a service-flow frame before "
-                        "takeover (output suppression breached)")
-        elif src_mac == topo.primary_mac and self._takeover_at is not None:
-            self._check("wire.primary-silent",
-                        ev.time <= self._takeover_at + _TAKEOVER_GRACE_NS,
-                        ev, conn,
-                        f"primary emitted a service-flow frame "
-                        f"{(ev.time - self._takeover_at) / 1e6:.1f} ms "
-                        f"after takeover (dual active)")
+                peer_end = reverse.max_end
+                beyond = (ack - peer_end) & SEQ_MASK
+                checks["wire.ack-beyond-data"] += 1
+                if 0 < beyond < _HALF:
+                    self._fail("wire.ack-beyond-data", ev,
+                               _flow_label(packet, seg),
+                               f"ack {ack} is {beyond:+d} beyond the "
+                               f"peer's highest sent byte {peer_end}")
 
     # ---------------------------------------------------- heartbeat layer
 
@@ -307,26 +369,34 @@ class InvariantOracle:
         hb = ev.fields.get("hb")
         if hb is None:
             return
-        prev_seq = self._hb_seq.get(ev.source)
+        source = ev.source
+        prev_seq = self._hb_seq.get(source)
         if prev_seq is not None:
-            self._check("hb.seq-monotone", hb.seq > prev_seq, ev, ev.source,
-                        f"heartbeat seq {hb.seq} after {prev_seq}")
-        self._hb_seq[ev.source] = hb.seq
+            self.checks["hb.seq-monotone"] += 1
+            if hb.seq <= prev_seq:
+                self._fail("hb.seq-monotone", ev, source,
+                           f"heartbeat seq {hb.seq} after {prev_seq}")
+        self._hb_seq[source] = hb.seq
+        hb_progress = self._hb_progress
         for progress in hb.connections:
-            key = (ev.source, progress.key)
             counters = (progress.last_byte_received,
                         progress.last_ack_received,
                         progress.last_app_byte_written,
                         progress.last_app_byte_read)
-            prev = self._hb_progress.get(key)
+            by_source = hb_progress.get(progress.key)
+            if by_source is None:
+                by_source = hb_progress[progress.key] = {}
+            prev = by_source.get(source)
             if prev is not None:
-                ok = all(now >= before for now, before
-                         in zip(counters, prev))
-                self._check("hb.progress-monotone", ok, ev,
-                            f"{ev.source}:{progress.key}",
-                            f"progress counters retreated {prev} -> "
-                            f"{counters}")
-            self._hb_progress[key] = counters
+                self.checks["hb.progress-monotone"] += 1
+                if not (counters[0] >= prev[0] and counters[1] >= prev[1]
+                        and counters[2] >= prev[2]
+                        and counters[3] >= prev[3]):
+                    self._fail("hb.progress-monotone", ev,
+                               f"{source}:{progress.key}",
+                               f"progress counters retreated {prev} -> "
+                               f"{counters}")
+            by_source[source] = counters
 
     # -------------------------------------------------------- sttcp layer
 
@@ -361,8 +431,7 @@ class InvariantOracle:
             return
         # A fresh replica announcement restarts the progress space for
         # that connection key (e.g. a client port reused after close).
-        for tracked in [t for t in self._hb_progress if t[1] == key]:
-            del self._hb_progress[tracked]
+        self._hb_progress.pop(key, None)
 
 
 class CheckedRun:

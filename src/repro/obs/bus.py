@@ -16,24 +16,26 @@ whenever the trace log's category filter changes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 from repro.obs.registry import PROBES, ProbeSpec, UnknownProbeError
 
 __all__ = ["ProbeEvent", "ProbeBus"]
 
 
-@dataclass(frozen=True)
-class ProbeEvent:
-    """One probe firing, as delivered to subscribers."""
+class ProbeEvent(NamedTuple):
+    """One probe firing, as delivered to subscribers.
+
+    An immutable named tuple rather than a frozen dataclass: one is built
+    per fire that reaches a subscriber, and a tuple is constructed in one
+    step instead of one ``object.__setattr__`` per field."""
 
     time: int                    # virtual time, ns
     probe: str                   # registered probe name, e.g. "tcp.retransmit"
     category: str                # the probe's trace category
     source: str                  # component name, e.g. "primary.tcp"
     message: str                 # human-readable summary
-    fields: dict[str, Any] = field(default_factory=dict)
+    fields: dict[str, Any]       # the fire's keyword fields
 
     @property
     def time_s(self) -> float:

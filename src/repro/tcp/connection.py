@@ -39,8 +39,8 @@ from repro.tcp.buffers import ReceiveBuffer, SendBuffer
 from repro.tcp.congestion import (CC_ALGORITHMS, DEFAULT_CC,
                                   make_congestion_control)
 from repro.tcp.rtt import RttEstimator
-from repro.tcp.segment import (SEGMENT_POOL, TcpFlags, TcpSegment,
-                               release_segment)
+from repro.tcp.segment import (FLAG_NAMES, SEGMENT_POOL, TcpFlags,
+                               TcpSegment, release_segment)
 from repro.tcp.seq import SEQ_MASK, SEQ_MOD, seq_add, seq_sub
 
 SEQ_HALF = 1 << 31
@@ -787,23 +787,29 @@ class TcpConnection:
         self.bytes_sent += len(segment.payload)
         # The extra sender-state fields (off/una/nxt/rcv_nxt/mss/ssthresh)
         # feed the repro.check invariant oracle; see docs/invariants.md.
-        # Building them (flag rendering included) costs more than the
-        # fire itself, so skip the whole block when nobody listens.
+        # Building them costs more than the fire itself, so skip the whole
+        # block when nobody listens, and build them from locals when
+        # somebody does.
         probes = self.world.probes
         if probes.wants_map["tcp.segment_tx"]:
+            seq, una, nxt, iss = (segment.seq, self.snd_una_off,
+                                  self.snd_nxt_off, self.iss)
+            if iss is None:
+                off = None
+            else:   # seq_sub(seq, seq_add(iss, 1))
+                off = (seq - iss - 1) & SEQ_MASK
+                if off >= SEQ_HALF:
+                    off -= SEQ_MOD
+            cc = self.cc
             probes.fire("tcp.segment_tx", self.name,
-                        seq=segment.seq, ack=segment.ack,
-                        flags=TcpFlags.describe(segment.flags),
+                        seq=seq, ack=segment.ack,
+                        flags=FLAG_NAMES[segment.flags & 0x1F],
                         len=len(segment.payload),
-                        win=segment.window, cwnd=self.cc.cwnd,
-                        flight=self.flight_size,
-                        off=(seq_sub(segment.seq,
-                                     seq_add(self.iss, 1))
-                             if self.iss is not None else None),
-                        una=self.snd_una_off, nxt=self.snd_nxt_off,
+                        win=segment.window, cwnd=cc.cwnd,
+                        flight=nxt - una, off=off, una=una, nxt=nxt,
                         rcv_nxt=self.recv_buffer.rcv_next,
                         mss=self.config.mss,
-                        ssthresh=self.cc.ssthresh,
+                        ssthresh=cc.ssthresh,
                         **self._cc_extra)
         self.transmit(segment)
 

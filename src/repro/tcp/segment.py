@@ -4,7 +4,7 @@ because that module must not import repro.tcp)."""
 
 from __future__ import annotations
 
-__all__ = ["TcpFlags", "TcpSegment", "TCP_HEADER_BYTES",
+__all__ = ["TcpFlags", "FLAG_NAMES", "TcpSegment", "TCP_HEADER_BYTES",
            "SEGMENT_POOL", "SEGMENT_POOL_MAX",
            "acquire_segment", "release_segment"]
 
@@ -23,13 +23,19 @@ class TcpFlags:
     @staticmethod
     def describe(flags: int) -> str:
         """Render flag bits as e.g. 'SYN|ACK'."""
-        names = []
-        for bit, name in ((TcpFlags.SYN, "SYN"), (TcpFlags.ACK, "ACK"),
-                          (TcpFlags.FIN, "FIN"), (TcpFlags.RST, "RST"),
-                          (TcpFlags.PSH, "PSH")):
-            if flags & bit:
-                names.append(name)
-        return "|".join(names) if names else "-"
+        return FLAG_NAMES[flags & 0x1F]
+
+
+#: ``TcpFlags.describe`` for every combination of the five modelled bits,
+#: indexed by ``flags & 0x1F`` (the segment-tx probe reads it directly).
+FLAG_NAMES = tuple(
+    "|".join(name for bit, name in ((TcpFlags.SYN, "SYN"),
+                                    (TcpFlags.ACK, "ACK"),
+                                    (TcpFlags.FIN, "FIN"),
+                                    (TcpFlags.RST, "RST"),
+                                    (TcpFlags.PSH, "PSH"))
+             if flags & bit) or "-"
+    for flags in range(32))
 
 
 class TcpSegment:

@@ -216,6 +216,23 @@ def test_replica_announcement_resets_progress(world, oracle):
     assert oracle.violations == []
 
 
+def test_replica_announcement_resets_only_that_key(world, oracle):
+    def beat(seq, counters_12, counters_34):
+        world.probes.fire("hb.state", "hb-p", hb=Heartbeat("primary", seq, (
+            ConnProgress((1, 2), *counters_12),
+            ConnProgress((3, 4), *counters_34))))
+
+    beat(1, (100, 50, 200, 80), (300, 30, 300, 30))
+    world.probes.fire("sttcp.conn-replicated", "backup-engine",
+                      key=(1, 2), isn=42)
+    # Key (1, 2) restarts from zero: no breach.  Key (3, 4) was not
+    # re-replicated, so its retreat must still trip.
+    beat(2, (0, 0, 0, 0), (300, 20, 300, 30))
+    assert [(v.invariant, v.conn) for v in oracle.violations] == [
+        ("hb.progress-monotone", "hb-p:(3, 4)")]
+    assert oracle.checks["hb.progress-monotone"] == 1
+
+
 # ----------------------------------------------------------------- sttcp
 
 def test_double_takeover_trips(world, oracle):
@@ -274,3 +291,73 @@ def test_report_mentions_every_invariant(world, oracle):
     report = oracle.report()
     for inv_id in INVARIANTS:
         assert inv_id in report
+
+
+# ------------------------------------------------- pinned violation text
+#
+# The oracle formats a violation's connection label and detail only when
+# a check fails; these pins hold that text byte-for-byte.
+
+def test_violation_text_is_pinned(world, oracle):
+    _tx(world, una=2000, nxt=1000)
+    _tx(world, source="m", una=5000, nxt=5000)
+    _tx(world, source="m", una=4000, nxt=5000)
+    _tx(world, source="d", cwnd=100, ssthresh=1460)
+    _tx(world, source="e", una=1000, nxt=2000, off=5000)
+    _tx(world, source="f", rcv_nxt=300)
+    _tx(world, source="f", rcv_nxt=200)
+    world.probes.fire("tcp.deliver", "c", off=0, len=100)
+    world.probes.fire("tcp.deliver", "c", off=150, len=10)
+    _frame(world, dst_port=49153, ack=5000)
+    _frame(world, dst_port=49153, ack=4000)
+    _frame(world, seq=1000, payload=b"x" * 100)
+    _frame(world, seq=(1200 + (1 << 31)) % (1 << 32))
+    _frame(world, src_mac=_CLIENT_MAC, src_ip=_CLIENT_IP, dst_ip=_SERVICE_IP,
+           src_port=49152, dst_port=80, seq=1000, payload=b"x" * 100)
+    _frame(world, ack=5100)
+    _hb(world, 1, counters=(100, 50, 200, 80))
+    _hb(world, 1, counters=(100, 40, 200, 80))
+    world.probes.fire("sttcp.takeover", "engine-a", reason="x",
+                      connections=0, unrecoverable=0)
+    world.probes.fire("sttcp.takeover", "engine-b", reason="y",
+                      connections=0, unrecoverable=0)
+    world.probes.fire("sttcp.non-ft-mode", "primary-engine", reason="y")
+    flow = "10.0.0.100:80->10.0.0.1:49152"
+    assert [str(v) for v in oracle.violations] == [
+        "[    0.000000s] tcp.snd-una-le-nxt: c: snd_una=2000 > snd_nxt=1000",
+        "[    0.000000s] tcp.snd-una-monotone: m: "
+        "snd_una retreated 5000 -> 4000",
+        "[    0.000000s] tcp.cwnd-floor: d: cwnd=100 < 1 MSS (1460)",
+        "[    0.000000s] tcp.ssthresh-floor: d: ssthresh=1460 < 2 MSS (2920)",
+        "[    0.000000s] tcp.seq-in-window: e: "
+        "segment offset 5000 outside [una=1000, nxt=2000]",
+        "[    0.000000s] tcp.rcv-nxt-monotone: f: rcv_next retreated 300 -> 200",
+        "[    0.000000s] tcp.deliver-contiguous: c: "
+        "delivery at offset 150, expected 100 (gap or re-delivery)",
+        "[    0.000000s] wire.ack-monotone: 10.0.0.100:80->10.0.0.1:49153: "
+        "ack retreated 5000 -> 4000 (-1000)",
+        f"[    0.000000s] wire.seq-continuity: {flow}: seq 2147484848 is "
+        "-2147483448 from the running max 1000 (discontinuous space)",
+        f"[    0.000000s] wire.ack-beyond-data: {flow}: ack 5100 is +4000 "
+        "beyond the peer's highest sent byte 1100",
+        "[    0.000000s] hb.seq-monotone: hb-p: heartbeat seq 1 after 1",
+        "[    0.000000s] hb.progress-monotone: hb-p:(1, 2): progress "
+        "counters retreated (100, 50, 200, 80) -> (100, 40, 200, 80)",
+        "[    0.000000s] sttcp.single-active: engine-b: "
+        "second takeover (already taken over by ['engine-a'])",
+        "[    0.000000s] sttcp.single-active: primary-engine: non-FT mode "
+        "after takeover by ['engine-a', 'engine-b'] (split brain)",
+    ]
+
+
+def test_topology_violation_text_is_pinned(world, topo_oracle):
+    world.probes.fire("sttcp.takeover", "backup-engine", reason="test",
+                      connections=1, unrecoverable=0)
+    world.sim.schedule(1_000_000_000, lambda: _frame(
+        world, src_mac=_PRIMARY_MAC))
+    world.run()
+    assert [str(v) for v in topo_oracle.violations] == [
+        "[    1.000000s] wire.primary-silent: "
+        "10.0.0.100:80->10.0.0.1:49152: primary emitted a service-flow "
+        "frame 1000.0 ms after takeover (dual active)",
+    ]

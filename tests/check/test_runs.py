@@ -64,3 +64,9 @@ def test_suppression_breach_trips_oracle():
     fx.run(5)
     assert oracle.violation_count > 0
     assert "wire.backup-silent" in {v.invariant for v in oracle.violations}
+    # Pinned: the breach count and the first violation's text.
+    assert oracle.violation_count == 363
+    assert str(oracle.violations[0]) == (
+        "[    0.000075s] wire.backup-silent: 10.0.0.100:80->10.0.0.1:49152: "
+        "backup emitted a service-flow frame before takeover (output "
+        "suppression breached)")

@@ -1,4 +1,5 @@
-"""Regenerate the committed golden wire traces under tests/goldens/.
+"""Regenerate the committed goldens under tests/goldens/: the wire
+traces and the oracle's per-invariant check counts.
 
 Usage (from the repo root)::
 
@@ -6,8 +7,9 @@ Usage (from the repo root)::
 
 Only run this after an *intended* wire-behaviour change, and commit the
 refreshed files together with the change that caused them.  The scenario
-registry lives in tests/obs/test_golden_traces.py so the generator and
-the comparison test can never drift apart.
+registries live in tests/obs/test_golden_traces.py and
+tests/check/test_check_counts.py so the generator and the comparison
+tests can never drift apart.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 sys.path.insert(0, str(REPO_ROOT))
 
+from tests.check import test_check_counts  # noqa: E402
 from tests.obs.test_golden_traces import (  # noqa: E402
     GOLDEN_ARTIFACTS, GOLDEN_DIR, SCENARIOS)
 
@@ -36,6 +39,9 @@ def main() -> int:
                 shutil.copyfile(paths[artifact], dest)
                 print(f"{dest.relative_to(REPO_ROOT)}: "
                       f"{dest.stat().st_size} bytes")
+    dest = test_check_counts.GOLDEN
+    dest.write_text(test_check_counts.render(test_check_counts.collect()))
+    print(f"{dest.relative_to(REPO_ROOT)}: {dest.stat().st_size} bytes")
     return 0
 
 
