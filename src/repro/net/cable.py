@@ -16,13 +16,9 @@ from __future__ import annotations
 
 from typing import Protocol, runtime_checkable
 
-from bisect import insort
-from heapq import heappush
-
 from repro.net.frame import EthernetFrame
 from repro.net.packet import IPPacket
 from repro.net.pool import FRAME_POOL, release_frame, release_packet
-from repro.sim.core import EventHandle
 from repro.sim.world import World
 
 __all__ = ["Cable", "CableEndpoint"]
@@ -176,43 +172,8 @@ class Cable:
                                     size=frame.size_bytes)
             release_frame(frame)
             return
-        # sim.post inlined (keep in sync): deliveries are never cancelled,
-        # so the event record comes from the kernel free list, and this
-        # runs once per unicast frame on the wire — the post() frame plus
-        # *args packing are measurable at fleet scale.
-        time = now + arrival_delay
-        pool = sim._handle_pool
-        if pool:
-            handle = pool.pop()
-            handle.time = time
-            handle.callback = self._deliver
-            handle.args = (ends[1 - direction], frame)
-            handle.label = self._deliver_label
-            handle._fired = False
-        else:
-            handle = EventHandle.__new__(EventHandle)
-            handle.time = time
-            handle.callback = self._deliver
-            handle.args = (ends[1 - direction], frame)
-            handle.label = self._deliver_label
-            handle._cancelled = False
-            handle._fired = False
-            handle._owner = sim
-            handle._pooled = True
-        sim._seq += 1
-        entry = (time, sim._seq, handle)
-        s0 = time >> 12               # == L0_GRAIN_BITS
-        if s0 - sim._cur0 < 1024:     # == WHEEL_SLOTS
-            if s0 != sim._active_slot:
-                bucket = sim._wheel0[s0 & 1023]
-                if not bucket:
-                    heappush(sim._l0_slots, s0)
-                bucket.append(entry)
-            else:
-                insort(sim._active, entry, sim._active_idx)
-        else:
-            sim._route_far(entry, time)
-        sim._size += 1
+        sim.post(arrival_delay, self._deliver, ends[1 - direction], frame,
+                 label=self._deliver_label)
 
     def plan_transmit(self, sender: CableEndpoint,
                       frame: EthernetFrame) -> "tuple[int, CableEndpoint] | None":

@@ -13,8 +13,6 @@ by both the primary's and the backup's NIC (Figure 2 of the paper).
 
 from __future__ import annotations
 
-from bisect import insort
-from heapq import heappush
 from typing import Optional
 
 from repro.net.addresses import MacAddress
@@ -24,7 +22,6 @@ from repro.net.nic import Nic
 from repro.net.packet import IPPacket
 from repro.net.pool import (FRAME_POOL, demote_frame, release_frame,
                             release_packet)
-from repro.sim.core import EventHandle
 from repro.sim.world import World
 
 __all__ = ["Switch", "SwitchPort"]
@@ -154,43 +151,8 @@ class Switch:
         claims = frame._claims
         if claims:
             frame._claims = claims + 1
-        # sim.post inlined (keep in sync): forwards are never cancelled,
-        # so the event record comes from the kernel free list, and this
-        # runs once per frame entering the fabric.
-        sim = self._world.sim
-        time = sim._now + self.forwarding_delay_ns
-        pool = sim._handle_pool
-        if pool:
-            handle = pool.pop()
-            handle.time = time
-            handle.callback = self._forward
-            handle.args = (port, frame)
-            handle.label = self._fwd_label
-            handle._fired = False
-        else:
-            handle = EventHandle.__new__(EventHandle)
-            handle.time = time
-            handle.callback = self._forward
-            handle.args = (port, frame)
-            handle.label = self._fwd_label
-            handle._cancelled = False
-            handle._fired = False
-            handle._owner = sim
-            handle._pooled = True
-        sim._seq += 1
-        entry = (time, sim._seq, handle)
-        s0 = time >> 12               # == L0_GRAIN_BITS
-        if s0 - sim._cur0 < 1024:     # == WHEEL_SLOTS
-            if s0 != sim._active_slot:
-                bucket = sim._wheel0[s0 & 1023]
-                if not bucket:
-                    heappush(sim._l0_slots, s0)
-                bucket.append(entry)
-            else:
-                insort(sim._active, entry, sim._active_idx)
-        else:
-            sim._route_far(entry, time)
-        sim._size += 1
+        self._world.sim.post(self.forwarding_delay_ns, self._forward, port,
+                             frame, label=self._fwd_label)
 
     def _forward(self, ingress: SwitchPort, frame: EthernetFrame) -> None:
         probes = self._world.probes
@@ -366,44 +328,11 @@ class Switch:
                 release_frame(frame)
             elif n_groups > 1:
                 frame._claims = claims + n_groups - 1
-        # sim.post inlined (keep in sync): one kernel-owned event per
-        # arrival-time group (usually a single group per flooded frame).
-        deliver_flood = self._deliver_flood
-        flood_label = self._flood_label
+        # One event per arrival-time group (usually a single group per
+        # flooded frame).
         for delay, group in groups.items():
-            time = now + delay
-            pool = sim._handle_pool
-            if pool:
-                handle = pool.pop()
-                handle.time = time
-                handle.callback = deliver_flood
-                handle.args = (group, frame)
-                handle.label = flood_label
-                handle._fired = False
-            else:
-                handle = EventHandle.__new__(EventHandle)
-                handle.time = time
-                handle.callback = deliver_flood
-                handle.args = (group, frame)
-                handle.label = flood_label
-                handle._cancelled = False
-                handle._fired = False
-                handle._owner = sim
-                handle._pooled = True
-            sim._seq += 1
-            entry = (time, sim._seq, handle)
-            s0 = time >> 12           # == L0_GRAIN_BITS
-            if s0 - sim._cur0 < 1024:  # == WHEEL_SLOTS
-                if s0 != sim._active_slot:
-                    bucket = sim._wheel0[s0 & 1023]
-                    if not bucket:
-                        heappush(sim._l0_slots, s0)
-                    bucket.append(entry)
-                else:
-                    insort(sim._active, entry, sim._active_idx)
-            else:
-                sim._route_far(entry, time)
-            sim._size += 1
+            sim.post(delay, self._deliver_flood, group, frame,
+                     label=self._flood_label)
 
     def _plan_slow_target(self, cable, free_at, direction, receiver, frame,
                           now, size_bits_scaled, groups) -> None:

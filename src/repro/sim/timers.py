@@ -68,8 +68,8 @@ class DeadlineTimer:
     A TCP retransmission timer is restarted on every new ack — thousands
     of times per connection — but actually *fires* only on loss.  With the
     eager :class:`Timer` every restart is a cancel + schedule pair, which
-    churns wheel buckets with tombstones and triggers periodic compaction
-    sweeps.  Here :meth:`start` is a field write: the logical deadline
+    fills the event queue with tombstones and triggers periodic
+    compaction sweeps.  Here :meth:`start` is a field write: the logical deadline
     lives in :attr:`deadline`, and a single scheduled sentinel event
     re-arms itself forward when it fires before the deadline (the Linux
     kernel's "deferrable timer" trick).  :meth:`stop` simply clears the

@@ -251,9 +251,7 @@ class TcpStack:
                 segment._claims = claims + 1
             pending.append(segment)
             if len(pending) == 1:
-                # at_tick_end inlined (keep in sync): registration is a
-                # bare list append, and this runs once per data segment.
-                self._world.sim._tick_end.append(conn._flush_rx_batch)
+                self._world.sim.at_tick_end(conn._flush_rx_batch)
             return
         listener = self.find_listener(packet.dst, segment.dst_port)
         if listener is not None and segment.syn and not segment.ack_flag:

@@ -1,11 +1,10 @@
-"""The timer wheel is observationally identical to a single binary heap.
+"""The kernel is observationally identical to a reference heap scheduler.
 
 The kernel's contract (docs/scheduler.md): events fire in global
-``(time, insertion-sequence)`` order, no matter which tier — active
-bucket, level-0/level-1 wheel, or overflow heap — an event happens to
-land in, and no matter how the cursor advances or how entries migrate
-between tiers.  We check it the direct way: run arbitrary programs of
-schedule / schedule_at / cancel / run(until) operations (including
+``(time, insertion-sequence)`` order, however far out they are scheduled,
+whichever call queued them, and however many tombstones compaction has
+swept away.  We check it the direct way: run arbitrary programs of
+schedule / schedule_at / post / cancel / run(until) operations (including
 scheduling and cancelling from inside callbacks) through the real
 :class:`Simulator` and through a 20-line reference heap scheduler, and
 require byte-identical fire logs.
@@ -30,7 +29,7 @@ class RefHandle:
 
 
 class HeapScheduler:
-    """The old kernel, reduced to its semantics: one global (time, seq)
+    """The kernel reduced to its semantics: one global (time, seq)
     min-heap, lazy cancellation, run-to-until clock advancement."""
 
     def __init__(self):
@@ -40,6 +39,9 @@ class HeapScheduler:
 
     def schedule(self, delay, callback, *args):
         return self.schedule_at(self.now + delay, callback, *args)
+
+    def post(self, delay, callback, *args):
+        self.schedule(delay, callback, *args)
 
     def schedule_at(self, time, callback, *args):
         handle = RefHandle(callback, args)
@@ -61,8 +63,8 @@ class HeapScheduler:
             self.now = until
 
 
-# Delay mix chosen to hit every tier of the wheel: the active bucket
-# (sub-slot), many L0 slots, the L1 wheel, and the overflow heap.
+# Delay mix: same-instant ties, near-future deadlines a few microseconds
+# apart, milliseconds, and seconds to tens of seconds out.
 DELAYS = st.one_of(
     st.integers(0, 5_000),
     st.integers(0, 20_000_000),
@@ -72,10 +74,13 @@ DELAYS = st.one_of(
 
 CHILD_OP = st.one_of(
     st.tuples(st.just("sched"), DELAYS, st.just(())),
+    st.tuples(st.just("post"), DELAYS, st.just(())),
     st.tuples(st.just("cancel"), st.integers(0, 63)),
 )
 OP = st.one_of(
     st.tuples(st.just("sched"), DELAYS,
+              st.lists(CHILD_OP, max_size=3).map(tuple)),
+    st.tuples(st.just("post"), DELAYS,
               st.lists(CHILD_OP, max_size=3).map(tuple)),
     st.tuples(st.just("sched_at"), DELAYS,
               st.lists(CHILD_OP, max_size=3).map(tuple)),
@@ -104,6 +109,8 @@ def execute(scheduler, program):
         if spec[0] == "sched":
             handles.append(
                 scheduler.schedule(spec[1], fire, next(ids), spec[2]))
+        elif spec[0] == "post":
+            scheduler.post(spec[1], fire, next(ids), spec[2])
         elif spec[0] == "sched_at":
             handles.append(
                 scheduler.schedule_at(now() + spec[1], fire,
@@ -121,20 +128,21 @@ def execute(scheduler, program):
 
 @given(PROGRAM)
 @settings(max_examples=150, deadline=None)
-def test_wheel_fires_in_heap_order(program):
-    wheel_log, wheel_now = execute(Simulator(), program)
-    heap_log, heap_now = execute(HeapScheduler(), program)
-    assert wheel_log == heap_log
-    assert wheel_now == heap_now
+def test_kernel_fires_in_reference_heap_order(program):
+    sim_log, sim_now = execute(Simulator(), program)
+    ref_log, ref_now = execute(HeapScheduler(), program)
+    assert sim_log == ref_log
+    assert sim_now == ref_now
 
 
 def test_mass_cancel_churn_matches_heap():
-    """Enough tombstones to trigger compaction repeatedly, spread across
-    every tier, with survivors interleaved — order must still match."""
+    """Enough tombstones to trigger compaction repeatedly, spread from
+    microseconds to seconds out, with survivors interleaved — order must
+    still match."""
     def program_ops():
         ops = []
         for i in range(300):
-            delay = (i * 37_003) % 25_000_000_000  # all tiers
+            delay = (i * 37_003) % 25_000_000_000
             ops.append(("sched", delay, ()))
         for i in range(0, 280):
             if i % 4:  # cancel three quarters of them
@@ -145,16 +153,22 @@ def test_mass_cancel_churn_matches_heap():
     assert execute(Simulator(), program) == execute(HeapScheduler(), program)
 
 
-def test_same_instant_fifo_across_tiers():
-    """Ties on `time` resolve by insertion sequence even when the tied
-    events were first routed to different tiers (L1 / overflow) and
-    migrated inward later."""
-    horizon = Simulator.L1_HORIZON_NS
+def test_far_future_same_instant_is_fifo():
+    """Ties on `time` resolve by insertion sequence, whether the tied
+    events were queued by schedule_at, schedule or post, and with nearer
+    and later work interleaved between them."""
+    far = 30_000_000_000                     # 30 s out
     program = [(
-        [("sched_at", horizon + 5, ()),      # overflow tier
+        [("sched_at", far + 5, ()),
          ("sched", 100, ()),                 # near future
-         ("sched_at", horizon + 5, ()),      # overflow again, later seq
-         ("sched_at", horizon - 10, ())],    # L1 tier
+         ("sched_at", far + 5, ()),          # same instant, later seq
+         ("post", far + 5, ()),              # same instant, via post
+         ("sched", far + 5, ()),             # same instant, via schedule
+         ("sched_at", far - 10, ())],        # just before
         None,
     )]
-    assert execute(Simulator(), program) == execute(HeapScheduler(), program)
+    log, now = execute(Simulator(), program)
+    assert log == [(100, 1), (far - 10, 5), (far + 5, 0), (far + 5, 2),
+                   (far + 5, 3), (far + 5, 4)]
+    assert now == far + 5
+    assert (log, now) == execute(HeapScheduler(), program)

@@ -108,12 +108,18 @@ def test_negative_delay_rejected():
     sim = Simulator()
     with pytest.raises(SimulationError):
         sim.schedule(-1, lambda: None)
+    with pytest.raises(SimulationError):
+        sim.post(-1, lambda: None)
+    assert sim.queue_size == 0
 
 
 def test_float_delay_rejected():
     sim = Simulator()
     with pytest.raises(SimulationError):
         sim.schedule(1.5, lambda: None)
+    with pytest.raises(SimulationError):
+        sim.post(1.5, lambda: None)
+    assert sim.queue_size == 0
 
 
 def test_schedule_at_in_past_rejected():
@@ -147,6 +153,24 @@ def test_max_events_limit():
     executed = sim.run(max_events=3)
     assert executed == 3
     assert fired == [0, 1, 2]
+    # A zero limit runs nothing and leaves the clock where it was.
+    assert sim.run(max_events=0) == 0
+    assert fired == [0, 1, 2]
+    assert sim.now == 3
+
+
+def test_max_events_stop_keeps_the_clock_monotone():
+    # Stopping on the limit must not jump the clock to ``until`` past
+    # events still queued before it: the next run would move time back.
+    sim = Simulator()
+    seen = []
+    for t in (10, 20):
+        sim.schedule(t, lambda: seen.append(sim.now))
+    assert sim.run(until=100, max_events=1) == 1
+    assert sim.now == 10
+    sim.run(until=100)
+    assert seen == [10, 20]
+    assert sim.now == 100
 
 
 def test_peek_next_time_skips_cancelled():
